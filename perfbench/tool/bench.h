@@ -18,6 +18,8 @@ namespace perfbench {
 
 int64_t NowNs();
 double Seconds(int64_t ns);
+// User + system CPU seconds of this process, all threads.
+double CpuSeconds();
 
 // Exact percentile (nearest rank) of \p v; sorts it. +inf entries mark
 // failed operations, so a failure always lands above any limit.
@@ -105,11 +107,14 @@ struct Report {
 };
 
 // --- Flags ----------------------------------------------------------
+// `--key value` pairs. Str and Num exit with an error when the flag is
+// missing: run.py passes every flag a subcommand reads, so no value has
+// a second default here.
 class Flags {
  public:
   Flags(int argc, char** argv, int first);
-  std::string Str(const std::string& key, const std::string& fallback) const;
-  double Num(const std::string& key, double fallback) const;
+  std::string Str(const std::string& key) const;
+  double Num(const std::string& key) const;
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
@@ -137,36 +142,45 @@ uint64_t HashBytes(const std::string& bytes);
 bool ReadFile(const std::string& path, std::string* out);
 
 // --- Serve load -----------------------------------------------------
+// Settings that are the same on every workload.
+constexpr double kLimitUs = 20000;     // read p99 limit of the ladder
+constexpr uint64_t kSampleM = 10000;   // points per SAMPLE request
+constexpr uint32_t kIngestThreads = 2;  // INGEST's sharded build
+constexpr int kSetupReps = 3;  // `privhp serve` launches timed per pass
+
 struct LoadConfig {
-  std::string socket;         // unix socket of the server under load
+  std::string socket;            // unix socket of the server under load
   std::string artifact = "art";  // name the readers query
-  uint64_t seed = 1;          // query draws and SAMPLE seeds
-  double fixed_rate = 2000;   // offered reads/s of the fixed-rate phase
-  double fixed_seconds = 4;   // fixed-rate phase length
-  double ladder_seconds = 0;  // rate ladder after it (0 = no ladder)
-  double limit_us = 10000;    // read p99 limit of the ladder
-  uint64_t sample_m = 10000;  // points per SAMPLE request
+  uint64_t seed = 0;             // query draws and SAMPLE seeds
+  double fixed_rate = 0;         // offered reads/s of the fixed-rate phase
+  double fixed_seconds = 0;      // fixed-rate phase length
+  // Rate ladder of reads alone after that phase (service.read.max_rps),
+  // starting at this rate; 0 = no ladder.
+  double ladder_from = 0;
   // The closed-loop worker runs beside the fixed-rate phase: SAMPLE
   // streams, or (worker_ingest) INGEST + EXPORT republishing `artifact`.
-  // After the ladder it runs the other kind alone: 5 INGESTs into
-  // "side", or 200 SAMPLE streams.
+  // After the reads it runs the other kind alone: 3 INGESTs into
+  // "side", or 100 SAMPLE streams.
   bool worker_ingest = false;
-  // Ingest spec; the published tree must hash to expected_blob_hash.
+  // Ingest spec (plan seed: the client's default, as `privhp build`'s);
+  // the published tree must hash to expected_blob_hash.
   const std::vector<privhp::Point>* ingest_points = nullptr;
-  uint32_t ingest_dim = 1;
-  uint64_t ingest_k = 32;
-  uint32_t ingest_threads = 2;
-  uint64_t ingest_seed = 42;
+  uint32_t ingest_dim = 0;
+  uint64_t ingest_k = 0;
   uint64_t expected_blob_hash = 0;
 };
 
 struct LoadResult {
   std::vector<double> fixed_latency_us;  // from due time; +inf = failed
+  // Per-window percentiles of the fixed-rate phase (0.25 s windows).
+  std::vector<double> window_p50_us, window_p90_us, window_p99_us;
   std::vector<double> client_span_us;    // send -> reply, fixed phase
   std::vector<double> late_us;           // generator lateness
-  double max_rps = 0.0;                  // measured rate at best step
+  double max_rps = 0.0;  // measured rate at the best passing rung
   double best_offered_rps = 0.0;
   int ladder_steps = 0;
+  double ladder_cpu_s = 0.0;       // process CPU time during the ladder
+  uint64_t ladder_attempted = 0;  // reads the ladder scheduled
   std::vector<double> sample_mpts_s;  // per SAMPLE stream counted
   std::vector<double> ingest_mpts_s;  // per INGEST: points / upload time
   double ingest_seconds = 0.0;
@@ -197,7 +211,7 @@ LoadResult RunLoad(const LoadConfig& cfg,
 // Verifies up to \p max_checks recorded SAMPLE replies against a local
 // GenerateTo with the same seed. Returns the number that differ.
 int VerifySamples(const LoadResult& load,
-                  const privhp::ServedArtifact& expected, uint64_t m,
+                  const privhp::ServedArtifact& expected,
                   size_t max_checks);
 
 // Fills report metrics shared by the end-to-end and traced serve runs.

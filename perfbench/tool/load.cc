@@ -33,11 +33,25 @@ using privhp::ServedArtifact;
 
 constexpr size_t kQueryPool = 4096;
 constexpr double kZipfExponent = 1.1;
-constexpr size_t kWindow = 32;  // below the server's 64-request pipeline cap
+constexpr size_t kWindow = 8;  // requests in flight per reader connection
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr int kThinkMs = 10;  // closed-loop worker's pause between ops
-constexpr int kTrailingIngests = 5;
-constexpr int kTrailingSamples = 200;
+constexpr int kThinkMs = 50;  // closed-loop worker's pause between ops
+constexpr int kTrailingIngests = 3;
+constexpr int kTrailingSamples = 100;
+// Latency is summarised per window of a phase's schedule, and a
+// reported percentile is the median over windows, so a stall of the
+// shared machine (tens of ms, every few seconds on the baseline VM) moves
+// one window, not the phase's figure.
+constexpr double kFixedWindowSeconds = 0.25;
+constexpr double kRungWindowSeconds = 0.1;
+// Ladder: doublings (or halvings) from LoadConfig::ladder_from until a
+// rung's outcome flips (at most kMaxDoublings), then kBisections
+// geometric bisections, which leave the passing and the missing rung
+// 2^(1/16), about 4.4%, apart.
+constexpr int kMaxDoublings = 16;
+constexpr int kBisections = 4;
+constexpr double kRungSeconds = 0.5;
+constexpr double kAbortLateUs = 5 * kLimitUs;
 
 struct Query {
   bool range = true;
@@ -100,6 +114,26 @@ void SleepUntilNs(int64_t t) {
   }
 }
 
+privhp::Status SendQuery(PrivHPClient* client, const std::string& artifact,
+                         const Query& query) {
+  return query.range ? client->SendRangeMass(artifact, query.cell)
+                     : client->SendQuantiles(artifact, {query.q});
+}
+
+privhp::Result<double> CollectQuery(PrivHPClient* client, const Query& query) {
+  if (query.range) return client->CollectRangeMass();
+  PRIVHP_ASSIGN_OR_RETURN(std::vector<double> values,
+                          client->CollectQuantiles(1));
+  return values[0];
+}
+
+std::string WrongAnswer(double got, double expected) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "wrong answer: got %.17g, expected %.17g",
+                got, expected);
+  return buf;
+}
+
 struct PhaseResult {
   std::vector<double> latency_us;  // due -> reply, in due order
   std::vector<double> span_us;     // send -> reply
@@ -112,11 +146,15 @@ struct PhaseResult {
   std::string error;
 };
 
-// One reader's share of a fixed-rate phase on its own connection.
+// One reader's share of a fixed-rate phase on its own connection. With
+// \p abort set, a reader that falls more than kAbortLateUs behind its
+// schedule stops the phase for all readers: the rung has missed, and its
+// backlog need not drain. Requests never sent are not counted.
 void ReaderPhase(PrivHPClient* client, const LoadConfig& cfg,
                  const QueryPool& pool, uint64_t seed, double rate,
                  int64_t start_ns, int64_t end_ns, bool keep_spans,
-                 int parent_span, PhaseResult* out) {
+                 int parent_span, std::atomic<bool>* abort,
+                 PhaseResult* out) {
   prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
   std::mt19937_64 rng(seed);
   const double interval_ns = 1e9 / rate;
@@ -137,6 +175,13 @@ void ReaderPhase(PrivHPClient* client, const LoadConfig& cfg,
   };
   while (!broken && (next < out->scheduled || !pending.empty())) {
     const int64_t now = NowNs();
+    if (abort != nullptr && next < out->scheduled &&
+        (abort->load() || now - due_of(next) > kAbortLateUs * 1000)) {
+      abort->store(true);
+      out->scheduled = next;
+      out->latency_us.resize(next);
+      continue;
+    }
     const bool can_send = next < out->scheduled && pending.size() < kWindow;
     if (can_send && (pending.empty() || now >= due_of(next))) {
       const int64_t due = due_of(next);
@@ -144,10 +189,8 @@ void ReaderPhase(PrivHPClient* client, const LoadConfig& cfg,
       const int64_t sent = NowNs();
       out->late_us.push_back(Seconds(sent - due) * 1e6);
       const size_t qi = pool.Draw(&rng);
-      const Query& query = pool.queries[qi];
       const privhp::Status st =
-          query.range ? client->SendRangeMass(cfg.artifact, query.cell)
-                      : client->SendQuantiles(cfg.artifact, {query.q});
+          SendQuery(client, cfg.artifact, pool.queries[qi]);
       if (!st.ok()) {
         out->error = st.ToString();
         broken = true;
@@ -160,32 +203,18 @@ void ReaderPhase(PrivHPClient* client, const LoadConfig& cfg,
     const Pending p = pending.front();
     pending.pop_front();
     const Query& query = pool.queries[p.query];
-    double got = kInf;
-    privhp::Status st = privhp::Status::OK();
-    if (query.range) {
-      auto r = client->CollectRangeMass();
-      if (r.ok()) got = *r; else st = r.status();
-    } else {
-      auto r = client->CollectQuantiles(1);
-      if (r.ok()) got = (*r)[0]; else st = r.status();
-    }
+    auto got = CollectQuery(client, query);
     const int64_t done = NowNs();
-    if (!st.ok()) {
+    if (!got.ok()) {
       // A transport error leaves the connection unusable; the rest of
       // the phase's requests stay counted as failed (latency +inf).
-      out->error = st.ToString();
+      out->error = got.status().ToString();
       broken = true;
       break;
     }
-    if (got != query.expected) {
+    if (*got != query.expected) {
       ++out->wrong;
-      if (out->error.empty()) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "wrong answer: got %.17g, expected %.17g", got,
-                      query.expected);
-        out->error = buf;
-      }
+      if (out->error.empty()) out->error = WrongAnswer(*got, query.expected);
       continue;
     }
     ++out->ok;
@@ -200,9 +229,10 @@ void ReaderPhase(PrivHPClient* client, const LoadConfig& cfg,
 
 struct PhaseSummary {
   std::vector<double> latency_us, span_us, late_us;
+  std::vector<double> window_p50_us, window_p90_us, window_p99_us;
   uint64_t scheduled = 0, ok = 0, wrong = 0;
+  bool aborted = false;
   double measured_rps = 0.0;
-  double p99_us = 0.0;
   double tail_median_us = 0.0;
   std::string error;
 };
@@ -211,8 +241,10 @@ struct PhaseSummary {
 PhaseSummary RunPhase(std::vector<PrivHPClient>* readers,
                       const LoadConfig& cfg, const QueryPool& pool,
                       uint64_t phase_seed, double rate, double seconds,
-                      Tracer* tracer, int parent_span) {
+                      double window_seconds, bool can_abort, Tracer* tracer,
+                      int parent_span) {
   const size_t n = readers->size();
+  std::atomic<bool> abort{false};
   const int64_t start = NowNs() + 2000000;  // 2 ms to spawn the threads
   const int64_t end = start + static_cast<int64_t>(seconds * 1e9);
   std::vector<PhaseResult> parts(n);
@@ -221,11 +253,16 @@ PhaseSummary RunPhase(std::vector<PrivHPClient>* readers,
     threads.emplace_back(ReaderPhase, &(*readers)[i], std::cref(cfg),
                          std::cref(pool), phase_seed * 31 + i, rate / n,
                          start, end, tracer->enabled(), parent_span,
-                         &parts[i]);
+                         can_abort ? &abort : nullptr, &parts[i]);
   }
   for (auto& t : threads) t.join();
   PhaseSummary s;
+  s.aborted = abort.load();
   std::vector<double> tail;
+  // Latencies by the window of the schedule their request was due in.
+  const double reads_per_window = window_seconds * rate / n;
+  std::vector<std::vector<double>> windows(
+      static_cast<size_t>(std::ceil(seconds / window_seconds)));
   int64_t last_reply = start;
   for (PhaseResult& p : parts) {
     last_reply = std::max(last_reply, p.last_reply_ns);
@@ -236,32 +273,44 @@ PhaseSummary RunPhase(std::vector<PrivHPClient>* readers,
     // The last tenth of each reader's schedule shows a growing backlog.
     const size_t from = p.latency_us.size() - p.latency_us.size() / 10;
     tail.insert(tail.end(), p.latency_us.begin() + from, p.latency_us.end());
+    for (size_t seq = 0; seq < p.latency_us.size(); ++seq) {
+      const size_t w = std::min(windows.size() - 1,
+                                static_cast<size_t>(seq / reads_per_window));
+      windows[w].push_back(p.latency_us[seq]);
+    }
     s.latency_us.insert(s.latency_us.end(), p.latency_us.begin(),
                         p.latency_us.end());
     s.span_us.insert(s.span_us.end(), p.span_us.begin(), p.span_us.end());
     s.late_us.insert(s.late_us.end(), p.late_us.begin(), p.late_us.end());
     tracer->AddBulk(p.spans);
   }
+  for (std::vector<double>& w : windows) {
+    if (w.empty()) continue;
+    s.window_p50_us.push_back(Percentile(&w, 0.5));
+    s.window_p90_us.push_back(Percentile(&w, 0.9));
+    s.window_p99_us.push_back(Percentile(&w, 0.99));
+  }
   // Completed reads over the time from the first due request to the
   // last reply, so a step that falls behind reads below its offer.
   s.measured_rps = static_cast<double>(s.ok) / Seconds(last_reply - start);
-  std::vector<double> lat = s.latency_us;
-  s.p99_us = Percentile(&lat, 0.99);
   s.tail_median_us = Median(tail);
-  std::vector<double> mid = s.latency_us;
   std::fprintf(stderr,
                "phase rate=%.0f/s scheduled=%llu ok=%llu wrong=%llu "
-               "p50=%.0fus p99=%.0fus tail_median=%.0fus\n",
+               "p50=%.0fus p99=%.0fus tail_median=%.0fus (window medians)%s\n",
                rate, static_cast<unsigned long long>(s.scheduled),
                static_cast<unsigned long long>(s.ok),
                static_cast<unsigned long long>(s.wrong),
-               Percentile(&mid, 0.5), s.p99_us, s.tail_median_us);
+               Median(s.window_p50_us), Median(s.window_p99_us),
+               s.tail_median_us, s.aborted ? " aborted" : "");
   return s;
 }
 
+// A rung passes when every read was answered right, its p99 (median
+// over windows) meets the limit, and the median latency of its last
+// tenth does too, so no backlog is growing.
 bool Passes(const PhaseSummary& s, double limit_us) {
-  return s.ok == s.scheduled && s.wrong == 0 && s.p99_us <= limit_us &&
-         s.tail_median_us <= limit_us;
+  return !s.aborted && s.ok == s.scheduled && s.wrong == 0 &&
+         Median(s.window_p99_us) <= limit_us && s.tail_median_us <= limit_us;
 }
 
 // The closed-loop client's operations; each returns false on a failure
@@ -288,7 +337,7 @@ struct Worker {
     HashingSink sink;
     const int64_t t0 = NowNs();
     const privhp::Status st =
-        client->Sample(cfg.artifact, cfg.sample_m, seed, &sink);
+        client->Sample(cfg.artifact, kSampleM, seed, &sink);
     const int64_t t1 = NowNs();
     if (!st.ok()) return Fail(st);
     samples.emplace_back(t0, t1);
@@ -306,8 +355,7 @@ struct Worker {
     spec.dim = cfg.ingest_dim;
     spec.k = cfg.ingest_k;
     spec.n = cfg.ingest_points->size();
-    spec.seed = cfg.ingest_seed;
-    spec.threads = cfg.ingest_threads;
+    spec.threads = kIngestThreads;
     privhp::VectorPointSource source(cfg.ingest_points);
     const int64_t t0 = NowNs();
     auto report = client->Ingest(name, spec, &source);
@@ -351,18 +399,13 @@ struct Worker {
 
 LoadConfig LoadConfigFromFlags(const Flags& flags) {
   LoadConfig cfg;
-  cfg.socket = flags.Str("socket", "");
-  cfg.seed = static_cast<uint64_t>(flags.Num("seed", 1));
-  cfg.fixed_rate = flags.Num("rate", 2000);
-  cfg.fixed_seconds = flags.Num("fixed-seconds", 4);
-  cfg.ladder_seconds = flags.Num("ladder-seconds", 0);
-  cfg.limit_us = flags.Num("limit-us", 20000);
-  cfg.sample_m = static_cast<uint64_t>(flags.Num("sample-m", 10000));
-  cfg.worker_ingest = flags.Str("worker", "sample") == "ingest";
-  cfg.ingest_dim = static_cast<uint32_t>(flags.Num("dim", 1));
-  cfg.ingest_k = static_cast<uint64_t>(flags.Num("k", 32));
-  cfg.ingest_threads = static_cast<uint32_t>(flags.Num("ingest-threads", 2));
-  cfg.ingest_seed = static_cast<uint64_t>(flags.Num("plan-seed", 42));
+  cfg.socket = flags.Str("socket");
+  cfg.seed = static_cast<uint64_t>(flags.Num("seed"));
+  cfg.fixed_rate = flags.Num("rate");
+  cfg.fixed_seconds = flags.Num("fixed-seconds");
+  cfg.worker_ingest = flags.Str("worker") == "ingest";
+  cfg.ingest_dim = static_cast<uint32_t>(flags.Num("dim"));
+  cfg.ingest_k = static_cast<uint64_t>(flags.Num("k"));
   return cfg;
 }
 
@@ -401,8 +444,9 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
   });
 
   const int64_t fixed_start = NowNs();
-  PhaseSummary fixed = RunPhase(&readers, cfg, pool, 1, cfg.fixed_rate,
-                                cfg.fixed_seconds, tracer, root);
+  PhaseSummary fixed =
+      RunPhase(&readers, cfg, pool, 1, cfg.fixed_rate, cfg.fixed_seconds,
+               kFixedWindowSeconds, false, tracer, root);
   const int64_t fixed_end = NowNs();
   // The ladder measures the readers' capacity alone.
   stop_worker.store(true);
@@ -412,34 +456,33 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
   result.wrong += fixed.wrong;
   if (!fixed.error.empty()) result.errors.push_back(fixed.error);
   result.fixed_latency_us = fixed.latency_us;
+  result.window_p50_us = fixed.window_p50_us;
+  result.window_p90_us = fixed.window_p90_us;
+  result.window_p99_us = fixed.window_p99_us;
   result.client_span_us = fixed.span_us;
   result.late_us = fixed.late_us;
 
-  if (cfg.ladder_seconds > 0) {
-    // Rate ladder: double the rate until two rungs in a row miss the
-    // limit, then bisect geometrically between the best passing rung and
-    // the failing one above it, down to 5% apart. A rung lasts long
-    // enough for ~1500 reads (>= 15 beyond p99) and is retried once when
-    // it misses, so a stall of the shared machine rarely ends the climb.
-    const int64_t deadline =
-        fixed_end + static_cast<int64_t>(cfg.ladder_seconds * 1e9);
+  if (cfg.ladder_from > 0) {
+    // The rung count is fixed by the climb, not cut by a deadline, so
+    // the result's resolution does not depend on how fast the machine
+    // is. A rung is retried once when it misses, so one stall of the
+    // shared machine does not end the climb.
+    const double cpu0 = CpuSeconds();
+    const uint64_t attempted0 = result.attempted;
     uint64_t phase = 2;
-    auto rung_seconds = [](double rate) {
-      return std::min(1.5, std::max(0.3, 1500 / rate));
-    };
     auto rung = [&](double rate) {
-      const double seconds = rung_seconds(rate);
       bool ok = false;
       for (int attempt = 0; attempt < 2 && !ok; ++attempt) {
-        PhaseSummary step = RunPhase(&readers, cfg, pool, phase++, rate,
-                                     seconds, tracer, root);
+        PhaseSummary step =
+            RunPhase(&readers, cfg, pool, phase++, rate, kRungSeconds,
+                     kRungWindowSeconds, true, tracer, root);
         ++result.ladder_steps;
         result.attempted += step.scheduled;
         // Missing the limit is the ladder's answer, not a failed
         // operation; replies that errored or were wrong are failures.
         result.failed += step.scheduled - step.ok;
         result.wrong += step.wrong;
-        ok = Passes(step, cfg.limit_us);
+        ok = Passes(step, kLimitUs);
         if (ok && rate >= result.best_offered_rps) {
           result.max_rps = step.measured_rps;
           result.best_offered_rps = rate;
@@ -447,27 +490,24 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
       }
       return ok;
     };
-    auto time_left = [&](double rate) {
-      return NowNs() + static_cast<int64_t>(rung_seconds(rate) * 1e9) <
-             deadline;
-    };
-    double pass = 0.0, fail = 0.0;
-    int misses = 0;
-    for (double rate = cfg.fixed_rate; misses < 2 && time_left(rate);
-         rate *= 2) {
-      if (rung(rate)) {
-        pass = rate;
-        fail = 0.0;
-        misses = 0;
-      } else {
-        if (misses++ == 0) fail = rate;
+    // Bracket the limit: double while rungs pass, or halve while they
+    // miss; then bisect the bracket.
+    double pass = 0.0, fail = 0.0, rate = cfg.ladder_from;
+    const bool first = rung(rate);
+    for (int i = 0; i < kMaxDoublings; ++i) {
+      (first ? pass : fail) = rate;
+      rate = first ? rate * 2 : rate / 2;
+      if (rung(rate) != first) {
+        (first ? fail : pass) = rate;
+        break;
       }
     }
-    while (pass > 0 && fail > pass * 1.05) {
-      const double rate = std::sqrt(pass * fail);
-      if (!time_left(rate)) break;
-      (rung(rate) ? pass : fail) = rate;
+    for (int i = 0; i < kBisections && pass > 0 && fail > pass; ++i) {
+      const double mid = std::sqrt(pass * fail);
+      (rung(mid) ? pass : fail) = mid;
     }
+    result.ladder_cpu_s = CpuSeconds() - cpu0;
+    result.ladder_attempted = result.attempted - attempted0;
   }
 
   // SAMPLE throughput counts the streams that ran wholly inside the
@@ -475,7 +515,7 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
   auto count_samples = [&](int64_t from, int64_t to) {
     for (const auto& s : w.samples) {
       if (s.first >= from && s.second <= to) {
-        result.sample_mpts_s.push_back(cfg.sample_m /
+        result.sample_mpts_s.push_back(kSampleM /
                                        Seconds(s.second - s.first) / 1e6);
       }
     }
@@ -507,12 +547,12 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
 }
 
 int VerifySamples(const LoadResult& load, const ServedArtifact& expected,
-                  uint64_t m, size_t max_checks) {
+                  size_t max_checks) {
   int mismatches = 0;
   for (size_t i = 0; i < load.sample_hashes.size() && i < max_checks; ++i) {
     privhp::RandomEngine rng(load.sample_hashes[i].first);
     HashingSink sink;
-    const privhp::Status st = expected.GenerateTo(m, &rng, &sink);
+    const privhp::Status st = expected.GenerateTo(kSampleM, &rng, &sink);
     if (!st.ok() || sink.hash() != load.sample_hashes[i].second) ++mismatches;
   }
   return mismatches;

@@ -47,10 +47,10 @@ namespace {
 // in a narrow hot spot; d > 1: two Gaussian clusters. The shape is fixed;
 // the seed only draws the sample.
 int Gen(const Flags& flags) {
-  const int dim = static_cast<int>(flags.Num("dim", 1));
-  const uint64_t n = static_cast<uint64_t>(flags.Num("n", 1000000));
-  const std::string out = flags.Str("out", "");
-  std::mt19937_64 rng(static_cast<uint64_t>(flags.Num("seed", 1)));
+  const int dim = static_cast<int>(flags.Num("dim"));
+  const uint64_t n = static_cast<uint64_t>(flags.Num("n"));
+  const std::string out = flags.Str("out");
+  std::mt19937_64 rng(static_cast<uint64_t>(flags.Num("seed")));
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::normal_distribution<double> normal(0.0, 1.0);
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -109,9 +109,9 @@ int Gen(const Flags& flags) {
 int W1(const Flags& flags) {
   Report report;
   report.attempted = 1;
-  const int dim = static_cast<int>(flags.Num("dim", 1));
-  auto a = privhp::ReadPointsCsv(flags.Str("a", ""), dim);
-  auto b = privhp::ReadPointsCsv(flags.Str("b", ""), dim);
+  const int dim = static_cast<int>(flags.Num("dim"));
+  auto a = privhp::ReadPointsCsv(flags.Str("a"), dim);
+  auto b = privhp::ReadPointsCsv(flags.Str("b"), dim);
   if (!a.ok() || !b.ok()) {
     report.failed = 1;
     report.Check(false, (!a.ok() ? a.status() : b.status()).ToString());
@@ -182,11 +182,11 @@ double WaitForPing(pid_t pid, const std::string& socket, int64_t t0) {
 
 int Serve(const Flags& flags) {
   Report report;
-  const std::string privhp_bin = flags.Str("privhp", "");
-  const std::string file = flags.Str("file", "");
-  const std::string tree = flags.Str("tree", file);
-  const std::string log = flags.Str("log", "/dev/null");
-  const int dim = static_cast<int>(flags.Num("dim", 1));
+  const std::string privhp_bin = flags.Str("privhp");
+  const std::string file = flags.Str("file");
+  const std::string tree = flags.Str("tree");
+  const std::string log = flags.Str("log");
+  const int dim = static_cast<int>(flags.Num("dim"));
   LoadConfig cfg = LoadConfigFromFlags(flags);
 
   // The answers every reply must equal, computed in process from the
@@ -194,7 +194,7 @@ int Serve(const Flags& flags) {
   auto expected = privhp::storage::PagedArtifact::SniffPagedFile(file)
                       ? privhp::ServedArtifact::FromPagedFile(file, {})
                       : privhp::ServedArtifact::FromFile(file);
-  auto points = privhp::ReadPointsCsv(flags.Str("input", ""), dim);
+  auto points = privhp::ReadPointsCsv(flags.Str("input"), dim);
   std::string blob;
   if (!expected.ok() || !points.ok() || !ReadFile(tree, &blob)) {
     std::fprintf(stderr, "cannot load %s, %s or the input dataset\n",
@@ -205,19 +205,17 @@ int Serve(const Flags& flags) {
   cfg.expected_blob_hash = HashBytes(blob);
 
   std::vector<std::string> args = {privhp_bin, "serve", "--unix", cfg.socket,
-                                   "--load", cfg.artifact + "=" + file,
-                                   "--workers", flags.Str("workers", "4")};
+                                   "--load", cfg.artifact + "=" + file};
   if (flags.Has("budget-mb")) {
     args.push_back("--memory-budget-mb");
-    args.push_back(flags.Str("budget-mb", "0"));
+    args.push_back(flags.Str("budget-mb"));
   }
   // Set-up: launch to first PING reply, several times; the last launch
   // stays up for the load.
-  const int reps = std::max(1, static_cast<int>(flags.Num("setup-reps", 5)));
   std::vector<double> setup;
   std::vector<double> setup_rss;
   pid_t pid = -1;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kSetupReps; ++r) {
     unlink(cfg.socket.c_str());
     const int64_t t0 = NowNs();
     pid = Spawn(args, log);
@@ -231,7 +229,7 @@ int Serve(const Flags& flags) {
       return 1;
     }
     setup.push_back(s);
-    if (r + 1 < reps) setup_rss.push_back(StopChild(pid));
+    if (r + 1 < kSetupReps) setup_rss.push_back(StopChild(pid));
   }
 
   Tracer tracer(false);
@@ -244,22 +242,18 @@ int Serve(const Flags& flags) {
   for (const std::string& e : load.errors) report.notes.push_back(e);
   report.Check(load.wrong == 0, "a read reply differs from the in-process answer");
   report.Check(!load.sample_hashes.empty(), "no SAMPLE stream completed");
-  report.Check(VerifySamples(load, **expected, cfg.sample_m, 8) == 0,
+  report.Check(VerifySamples(load, **expected, 8) == 0,
                "a served SAMPLE differs from a local GenerateTo");
   report.Check(load.ingests > 0, "no INGEST completed");
   report.Check(load.blob_mismatches == 0,
                "a published INGEST differs from the built artifact");
-  report.Check(cfg.ladder_seconds <= 0 || load.max_rps > 0,
-               "no ladder step met the latency limit");
   std::vector<double> lat = load.fixed_latency_us;
   report.metrics["setup_s"] = Median(setup);
-  // The gated tail is p90: on a VM whose vCPUs lose a few percent of
-  // their time to the host, p99 swings between the program's tail and
-  // the host's stalls from run to run. p99 is reported beside it.
-  report.metrics["read_p50_us"] = Percentile(&lat, 0.5);
-  report.metrics["read_p90_us"] = Percentile(&lat, 0.9);
-  report.metrics["info.read_p99_us"] = Percentile(&lat, 0.99);
-  report.metrics["read_max_rps"] = load.max_rps;
+  // Latency percentiles are the median over the fixed-rate phase's
+  // windows.
+  report.metrics["read_p50_us"] = Median(load.window_p50_us);
+  report.metrics["info.read_p90_us"] = Median(load.window_p90_us);
+  report.metrics["info.read_p99_us"] = Median(load.window_p99_us);
   // Throughputs as the median over streams and uploads.
   report.metrics["serve_sample_mpts_s"] = Median(load.sample_mpts_s);
   report.metrics["serve_peak_rss_mib"] = rss;
@@ -273,8 +267,6 @@ int Serve(const Flags& flags) {
   report.failed = std::max<uint64_t>(report.failed, server_failed);
   // Side numbers for the log (not gated): sample counts and peaks.
   report.metrics["info.read_samples"] = static_cast<double>(lat.size());
-  report.metrics["info.ladder_steps"] = load.ladder_steps;
-  report.metrics["info.best_offered_rps"] = load.best_offered_rps;
   report.metrics["info.setup_launches_peak_rss_mib"] =
       setup_rss.empty() ? rss
                         : *std::max_element(setup_rss.begin(), setup_rss.end());

@@ -45,7 +45,8 @@ const char* const kLayerMetrics[] = {
     "service.queue_wait.p99_us", "service.read.server_p99_us",
     "service.sample.server_p99_us", "service.ingest.server_p50_ms",
     "service.read.client_p99_us", "service.workers_busy.max",
-    "service.output_queue_bytes.max", "service.ingest.upload_s",
+    "service.output_queue_bytes.max", "service.read.max_rps",
+    "service.ingest.upload_s",
     "service.errors", "service.dropped", "loadgen.late_p99_us",
     "loadgen.read_samples", "trace.overhead_pct", "eval.w1"};
 
@@ -65,13 +66,6 @@ class CountingSink : public privhp::PointSink {
  private:
   uint64_t count_ = 0;
 };
-
-double CpuSeconds() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_utime.tv_sec + ru.ru_utime.tv_usec * 1e-6 + ru.ru_stime.tv_sec +
-         ru.ru_stime.tv_usec * 1e-6;
-}
 
 double Mpts(size_t n, double seconds) {
   return seconds > 0 ? static_cast<double>(n) / seconds / 1e6 : 0.0;
@@ -180,20 +174,20 @@ privhp::Result<PrivHPGenerator> TraceBuildLayers(
 // The workload's whole path in process: CSV in, build, save, pack, load,
 // sample, CSV out; then the serve stage against an in-process server (so
 // its buffer pool is read directly), driven by the end-to-end run's
-// client code with its fixed-rate phase and no ladder.
+// client code: its fixed-rate phase, then the rate ladder that gives
+// service.read.max_rps.
 privhp::Status RunPipeline(const Flags& flags, Tracer* tracer,
                            Report* report) {
   auto& m = report->metrics;
-  const std::string input = flags.Str("input", "");
-  const std::string dir = flags.Str("dir", ".");
-  const std::string serve_mode = flags.Str("serve", "mmap");
-  const int dim = static_cast<int>(flags.Num("dim", 1));
-  const int threads = static_cast<int>(flags.Num("threads", 4));
+  const std::string input = flags.Str("input");
+  const std::string dir = flags.Str("dir");
+  const std::string serve_mode = flags.Str("serve");
+  const int dim = static_cast<int>(flags.Num("dim"));
+  const int threads = static_cast<int>(flags.Num("threads"));
   privhp::HypercubeDomain domain(dim);
   PrivHPOptions options;
   options.epsilon = 1.0;
-  options.k = static_cast<uint64_t>(flags.Num("k", 32));
-  options.seed = static_cast<uint64_t>(flags.Num("plan-seed", 42));
+  options.k = static_cast<uint64_t>(flags.Num("k"));
 
   std::vector<Point> points;
   {
@@ -289,6 +283,7 @@ privhp::Status RunPipeline(const Flags& flags, Tracer* tracer,
   std::string blob;
   if (!ReadFile(tree, &blob)) return privhp::Status::IOError("read " + tree);
   LoadConfig cfg = LoadConfigFromFlags(flags);
+  cfg.ladder_from = cfg.fixed_rate;
   cfg.ingest_points = &points;
   cfg.expected_blob_hash = HashBytes(blob);
   // Expected answers come from a separate mmap-mode open of the file.
@@ -299,7 +294,6 @@ privhp::Status RunPipeline(const Flags& flags, Tracer* tracer,
   PRIVHP_RETURN_NOT_OK(registry.Publish(cfg.artifact, served));
   privhp::ServerOptions server_options;
   server_options.unix_path = cfg.socket;
-  server_options.num_workers = 4;
   unlink(cfg.socket.c_str());
   PRIVHP_ASSIGN_OR_RETURN(
       auto server, privhp::PrivHPServer::Start(&registry, server_options));
@@ -322,9 +316,15 @@ privhp::Status RunPipeline(const Flags& flags, Tracer* tracer,
                 "a read reply differs from the in-process answer");
   report->Check(load.blob_mismatches == 0,
                 "a published INGEST differs from the built artifact");
-  report->Check(VerifySamples(load, *expected, cfg.sample_m, 4) == 0,
+  report->Check(VerifySamples(load, *expected, 4) == 0,
                 "a served SAMPLE differs from a local GenerateTo");
   AddServiceLayerMetrics(load, report);
+  // Unresolved, not the last rung that happened to pass.
+  report->Check(load.max_rps > 0,
+                "service.read.max_rps unresolved: no ladder rung met the limit");
+  m["service.read.max_rps"] = load.max_rps;
+  m["info.ladder_cpu_s"] = load.ladder_cpu_s;
+  m["info.ladder_ops"] = static_cast<double>(load.ladder_attempted);
   const double hits = static_cast<double>(pool_after.hits - pool_before.hits);
   const double misses =
       static_cast<double>(pool_after.misses - pool_before.misses);
@@ -345,11 +345,13 @@ privhp::Status RunPass(const std::string& workload, const Flags& flags,
 }  // namespace
 
 int RunTrace(const Flags& flags) {
-  const std::string workload = flags.Str("workload", "");
+  const std::string workload = flags.Str("workload");
   // Spans off, on, off: the untraced passes on both sides of the traced
   // one cancel most of the warm-up a single ordering would credit to it.
   // Overhead is CPU seconds per attempted operation, so a pass that
-  // happened to run more load does not read as overhead.
+  // happened to run more load does not read as overhead. The ladder's
+  // operations and CPU time are left out: how many rungs it climbs
+  // depends on the machine, not on tracing.
   Tracer on(true);
   Report report;
   double off_per_op = 0.0, on_per_op = 0.0;
@@ -362,8 +364,14 @@ int RunTrace(const Flags& flags) {
     st = RunPass(workload, flags, traced ? &on : &off,
                  traced ? &report : &untraced);
     const Report& r = traced ? report : untraced;
+    auto info = [&r](const char* key) {
+      auto it = r.metrics.find(key);
+      return it == r.metrics.end() ? 0.0 : it->second;
+    };
     const double per_op =
-        (CpuSeconds() - cpu0) / std::max<uint64_t>(r.attempted, 1);
+        (CpuSeconds() - cpu0 - info("info.ladder_cpu_s")) /
+        std::max(static_cast<double>(r.attempted) - info("info.ladder_ops"),
+                 1.0);
     if (traced) {
       on_per_op = per_op;
     } else {
@@ -396,7 +404,7 @@ int RunTrace(const Flags& flags) {
                   kv.second);
     report.notes.push_back(buf);
   }
-  const std::string out = flags.Str("trace-out", "");
+  const std::string out = flags.Str("trace-out");
   if (!out.empty() && !on.Write(out, workload)) {
     report.Check(false, "cannot write " + out);
   }

@@ -1,7 +1,10 @@
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -17,6 +20,13 @@ int64_t NowNs() {
 }
 
 double Seconds(int64_t ns) { return static_cast<double>(ns) * 1e-9; }
+
+double CpuSeconds() {
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_utime.tv_sec + ru.ru_utime.tv_usec * 1e-6 + ru.ru_stime.tv_sec +
+         ru.ru_stime.tv_usec * 1e-6;
+}
 
 double Percentile(std::vector<double>* v, double q) {
   if (v->empty()) return 0.0;
@@ -161,15 +171,26 @@ Flags::Flags(int argc, char** argv, int first) {
   }
 }
 
-std::string Flags::Str(const std::string& key,
-                       const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+namespace {
+
+const std::string& Required(const std::map<std::string, std::string>& values,
+                            const std::string& key) {
+  auto it = values.find(key);
+  if (it == values.end()) {
+    std::fprintf(stderr, "perfbench_tool: missing --%s\n", key.c_str());
+    std::exit(2);
+  }
+  return it->second;
 }
 
-double Flags::Num(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
+}  // namespace
+
+std::string Flags::Str(const std::string& key) const {
+  return Required(values_, key);
+}
+
+double Flags::Num(const std::string& key) const {
+  return std::atof(Required(values_, key).c_str());
 }
 
 void HashingSink::Mix(double v) {
