@@ -11,18 +11,25 @@ from --seed into the same directory.
 Every workload runs the whole user path, so every end-to-end metric is
 measured on every workload; the workloads differ in input shape, artifact
 and traffic, which decides the layer that dominates. A run generates a
-CSV, then repeats rounds of a batch pass and a serve pass until --seconds
-have passed (at least MIN_ROUNDS), and reports each metric as the median
-over rounds, leaving out rounds in which the host's steal time exceeded
-MAX_STEAL (unless every round did):
+CSV, then spends 60% of --seconds on a batch phase and most of the
+rest on one serve stage:
 
-  batch pass: `privhp build --threads 1` and `--threads nproc`
-    (byte-identical) -> `privhp pack` -> `privhp sample` of n points to
-    CSV; after the last round, exact 1-d W1 against the input (a check).
-  serve pass: `privhp serve` launched to its first PING reply, then three
-    open-loop readers (RANGE, and QUANTILE on 1-d artifacts) at a fixed
-    rate beside one closed-loop SAMPLE or INGEST client. Every reply is
-    checked against an in-process answer.
+  batch phase: cycles of `privhp build --threads 1` and `--threads
+    nproc-1` (byte-identical; the sharded build adds a reader thread),
+    `privhp sample` of n points to CSV and, on csv-roundtrip, `privhp
+    sample --m 1`; then `privhp pack`, and after the serve stage the
+    exact 1-d W1 against the input (a check). Each batch metric is the
+    median over the cycles, so a stall of the shared host moves a few
+    values, not the median.
+  serve stage (perfbench_tool serve): `privhp serve` launched several
+    times to its first PING reply; then three open-loop readers (RANGE,
+    and QUANTILE on 1-d artifacts) at a fixed rate, alone and then beside
+    one paced closed-loop SAMPLE or INGEST client; then SAMPLE streams
+    alone and INGESTs alone. Every reply is checked against an in-process
+    answer. SAMPLE and INGEST are gated as points per second of server
+    CPU time, which the host's steal time does not inflate; wall-clock
+    read latency and throughput are printed beside them (info.*) but not
+    gated.
 
 With --trace 0 the last stdout line carries the end-to-end metrics; with
 --trace 1 it carries the per-layer metrics of the in-process traced run
@@ -44,38 +51,43 @@ import sys
 import time
 
 NPROC = os.cpu_count() or 1
+# The sharded build runs one reader thread beside its shard threads, so
+# this many shards fill the machine's cores without oversubscribing them.
+BUILD_THREADS = max(NPROC - 1, 2)
 # The synthetic CSV's exact 1-d W1 to the input must stay under this share
 # of the input's W1 to the uniform law.
 W1_SHARE = 0.05
-MIN_ROUNDS = 3
-# A round in which the hypervisor took more than MAX_STEAL of the
-# machine's CPU time (steal) measured the host, not the program: the run
-# adds a round in its place while under EXTRA_UNTIL x --seconds (at most
-# MAX_ROUNDS in all), and takes its medians over the calm rounds (over
-# all rounds when none is calm).
-MAX_STEAL = 0.03
-MAX_ROUNDS = 4
-EXTRA_UNTIL = 1.5
-FIXED_SECONDS = 1.0  # fixed-rate read phase of each serve pass
-SETUP_REPS = 3  # `privhp sample --m 1` runs per csv-roundtrip round
-BUILD_REPS = 2  # each `privhp build` per round
-SAMPLE_REPS = 2  # `privhp sample` runs per round
+# Shares of --seconds: the batch phase, then the serve stage's reads
+# alone, reads beside the closed-loop worker, and each kind of worker
+# operation alone. The batch phase runs whole cycles, at least MIN_CYCLES.
+BATCH_SHARE = 0.6
+READS_SHARE = 0.05
+BESIDE_SHARE = 0.07
+ALONE_SHARE = 0.06
+MIN_CYCLES = 3
 
 # Per workload: input shape (dim, n), plan k, how the paged file is served
 # (mmap, pool = under a memory budget below the file size, heap = the
 # tree file), the fixed read rate, and the closed-loop client beside the
-# reads (SAMPLE, then INGESTs into another name after the reads; or
-# INGEST republishing the read artifact, then SAMPLE streams after the
-# reads). setup_s is the serve launch to its first PING, except where
-# cold_start is "sample": there it is `privhp sample --m 1`.
+# reads (SAMPLE streams, or INGEST republishing the read artifact).
+# setup_s is the serve launch to its first PING, except where
+# cold_start is "sample": there it is `privhp sample --m 1`. Inputs are
+# small enough that each batch step takes a few tenths of a second, so a
+# run times each one many times.
 WORKLOADS = {
-    "csv-roundtrip": dict(dim=1, n=1_000_000, k=32, serve="mmap",
+    "csv-roundtrip": dict(dim=1, n=250_000, k=32, serve="mmap",
                           rate=10000, worker="sample", cold_start="sample"),
-    "serve-reads": dict(dim=1, n=500_000, k=256, serve="pool",
-                        budget_mb=4, rate=1000, worker="sample"),
-    "serve-mixed": dict(dim=2, n=400_000, k=512, serve="heap", rate=4000,
+    "serve-reads": dict(dim=1, n=150_000, k=256, serve="pool",
+                        budget_mb=2, rate=1000, worker="sample"),
+    "serve-mixed": dict(dim=2, n=100_000, k=512, serve="heap", rate=4000,
                         worker="ingest"),
 }
+
+# Batch wall-time lists and the end-to-end throughput each gives.
+THROUGHPUT_OF = {"build_s": "build_mpts_s",
+                 "build_threads_s": "build_threads_mpts_s",
+                 "sample_s": "sample_mpts_s"}
+
 
 class BenchError(Exception):
     pass
@@ -153,59 +165,37 @@ def steal_ticks():
     return ticks[7], sum(ticks)
 
 
-def batch_round(r, w, privhp, files, checks):
-    """One pass of the offline user path; returns its walls and peak RSS."""
+def batch_cycle(r, w, privhp, files, checks, out):
+    """One cycle of the offline user path; appends its timings to out."""
     n, dim = w["n"], str(w["dim"])
     # The plan seed (DP noise, sketch hashing) is privhp's default, as in
     # the tool's INGEST and traced builds.
     common = ["--in", files["data"], "--dim", dim, "--epsilon", "1", "--k",
               str(w["k"])]
-    t1, tn, rss = [], [], []
-    for _ in range(BUILD_REPS):
-        wall, peak = r.run("privhp build --threads 1",
-                           [privhp, "build", *common, "--threads", "1",
-                            "--out", files["tree"]])
-        t1.append(wall)
-        rss.append(peak)
-        wall, peak = r.run(f"privhp build --threads {NPROC}",
-                           [privhp, "build", *common, "--threads",
-                            str(NPROC), "--out", files["tree_n"]])
-        tn.append(wall)
-        rss.append(peak)
-        if not filecmp.cmp(files["tree"], files["tree_n"], shallow=False):
-            checks.append(f"--threads 1 and --threads {NPROC} artifacts "
-                          "differ")
-    r.run("privhp pack", [privhp, "pack", "--tree", files["tree"],
-                          "--out", files["paged"]])
-    sample = statistics.median(
-        r.run("privhp sample",
-              [privhp, "sample", "--tree", files["tree"], "--dim", dim,
-               "--m", str(n), "--seed", "1", "--out", files["synth"]])[0]
-        for _ in range(SAMPLE_REPS))
-    out = {"build_mpts_s": n / statistics.median(t1) / 1e6,
-           "build_threads_mpts_s": n / statistics.median(tn) / 1e6,
-           "build_peak_rss_mib": max(rss),
-           "sample_mpts_s": n / sample / 1e6}
+    wall, peak = r.run("privhp build --threads 1",
+                       [privhp, "build", *common, "--threads", "1",
+                        "--out", files["tree"]])
+    out["build_s"].append(wall)
+    out["build_peak_rss_mib"].append(peak)
+    wall, peak = r.run(f"privhp build --threads {BUILD_THREADS}",
+                       [privhp, "build", *common, "--threads",
+                        str(BUILD_THREADS),
+                        "--out", files["tree_n"]])
+    out["build_threads_s"].append(wall)
+    out["build_peak_rss_mib"].append(peak)
+    if not filecmp.cmp(files["tree"], files["tree_n"], shallow=False):
+        checks.append(f"--threads 1 and --threads {BUILD_THREADS} artifacts "
+                      "differ")
+    out["sample_s"].append(r.run(
+        "privhp sample",
+        [privhp, "sample", "--tree", files["tree"], "--dim", dim,
+         "--m", str(n), "--seed", "1", "--out", files["synth"]])[0])
     if w.get("cold_start") == "sample":
         # Cold start of the batch user: load the artifact, emit one point.
-        out["setup_s"] = statistics.median(
-            r.run("privhp sample --m 1",
-                  [privhp, "sample", "--tree", files["tree"], "--dim", dim,
-                   "--m", "1", "--out", files["one"]])[0]
-            for _ in range(SETUP_REPS))
-    return out
-
-
-def serve_round(r, w, privhp, tool, files, serve_flags):
-    """One serve pass: `privhp serve` launched to its first PING, then
-    loaded and checked by perfbench_tool serve."""
-    args = [tool, "serve", "--privhp", privhp,
-            "--file", files["tree" if w["serve"] == "heap" else "paged"],
-            "--tree", files["tree"], "--fixed-seconds", str(FIXED_SECONDS),
-            "--log", files["serve_log"], *serve_flags]
-    if "budget_mb" in w:
-        args += ["--budget-mb", str(w["budget_mb"])]
-    return r.tool("perfbench_tool serve", args)
+        out["setup_s"].append(r.run(
+            "privhp sample --m 1",
+            [privhp, "sample", "--tree", files["tree"], "--dim", dim,
+             "--m", "1", "--out", files["one"]])[0])
 
 
 def run_workload(name, seed, seconds, trace, root, target):
@@ -235,63 +225,61 @@ def run_workload(name, seed, seconds, trace, root, target):
     if trace:
         result = r.tool("perfbench_tool trace", [
             tool, "trace", "--workload", name, "--dir", work,
-            "--threads", str(NPROC), "--serve", w["serve"],
-            "--fixed-seconds", str(max(2.0, seconds * 0.1)),
+            "--threads", str(BUILD_THREADS), "--serve", w["serve"],
+            "--reads-seconds", str(max(1.0, seconds * 0.05)),
+            "--beside-seconds", str(max(1.0, seconds * 0.05)),
+            "--alone-seconds", "0",
             "--trace-out", os.path.join(work, "trace.json"), *serve_flags])
         return result, r.processes, "per_layer"
 
-    # Rounds of batch pass + serve pass until --seconds have passed. The
-    # baseline VM has slow spells of a few seconds; each metric is the
-    # median over rounds, so one spell moves one round, not the run.
-    # served_rounds keeps every serve pass, a failed one too, for the
-    # operation counts.
-    checks, rounds, served_rounds = [], [], []
+    # Batch phase: whole cycles while one more still ends within its
+    # share of --seconds. Every metric is the median of many timed steps,
+    # so a stall of the shared host moves a few values, not the median.
+    checks = []
+    batch = {key: [] for key in ("build_s", "build_threads_s", "sample_s",
+                                 "build_peak_rss_mib", "setup_s")}
+    steal0, all0 = steal_ticks()
     start = time.perf_counter()
-
-    def calm():
-        return [m for m in rounds if m["info.steal_share"] <= MAX_STEAL]
-
-    def more():
-        elapsed = time.perf_counter() - start
-        if len(rounds) < MIN_ROUNDS:
-            return True
-        if len(rounds) >= MAX_ROUNDS:
-            return False
-        return elapsed < seconds or (len(calm()) < MIN_ROUNDS and
-                                     elapsed < EXTRA_UNTIL * seconds)
-
-    while more():
-        steal0, all0 = steal_ticks()
-        batch = batch_round(r, w, privhp, files, checks)
-        # Write back the batch pass's files now, so the kernel's writeback
-        # does not stall the serve pass.
+    cycle_s = 0.0
+    while len(batch["build_s"]) < MIN_CYCLES or \
+            time.perf_counter() - start + cycle_s <= BATCH_SHARE * seconds:
+        cycle_start = time.perf_counter()
+        # Write back the files the last steps wrote before the next timed
+        # step, so the kernel's writeback does not run beside it.
         os.sync()
-        served = serve_round(r, w, privhp, tool, files, serve_flags)
-        served_rounds.append(served)
-        checks += served["check_failures"]
-        for note in served["notes"]:
-            log("serve: " + note)
-        if served["check_failures"]:
-            break
-        round_metrics = dict(served["metrics"])
-        if "setup_s" in batch:
-            round_metrics["info.serve_setup_s"] = round_metrics.pop("setup_s")
-        round_metrics.update(batch)
-        steal1, all1 = steal_ticks()
-        round_metrics["info.steal_share"] = \
-            (steal1 - steal0) / max(all1 - all0, 1)
-        rounds.append(round_metrics)
+        batch_cycle(r, w, privhp, files, checks, batch)
+        cycle_s = time.perf_counter() - cycle_start
+    r.run("privhp pack", [privhp, "pack", "--tree", files["tree"],
+                          "--out", files["paged"]])
+    os.sync()
 
-    counted = calm() or rounds
-    metrics = {"info.rounds": len(rounds), "info.calm_rounds": len(calm()),
-               "info.steal_share_max": max(
-                   (m["info.steal_share"] for m in rounds), default=0.0)}
-    for key in sorted({key for m in counted for key in m}):
-        values = [m[key] for m in counted if key in m]
-        # Build peak RSS is the highest of any round (it does not vary);
-        # everything else, the server's peak RSS too, the median.
-        metrics[key] = max(values) if key == "build_peak_rss_mib" else \
-            statistics.median(values)
+    # Serve stage: `privhp serve` launched to its first PING reply, then
+    # loaded and checked by perfbench_tool serve.
+    args = [tool, "serve", "--privhp", privhp,
+            "--file", files["tree" if w["serve"] == "heap" else "paged"],
+            "--tree", files["tree"], "--log", files["serve_log"],
+            "--reads-seconds", str(READS_SHARE * seconds),
+            "--beside-seconds", str(BESIDE_SHARE * seconds),
+            "--alone-seconds", str(ALONE_SHARE * seconds), *serve_flags]
+    if "budget_mb" in w:
+        args += ["--budget-mb", str(w["budget_mb"])]
+    served = r.tool("perfbench_tool serve", args)
+    steal1, all1 = steal_ticks()
+    checks += served["check_failures"]
+    for note in served["notes"]:
+        log("serve: " + note)
+
+    metrics = dict(served["metrics"])
+    if batch["setup_s"]:
+        metrics["info.serve_setup_s"] = metrics.pop("setup_s")
+        metrics["setup_s"] = statistics.median(batch["setup_s"])
+    metrics["info.steal_share"] = (steal1 - steal0) / max(all1 - all0, 1)
+    metrics["info.batch_cycles"] = len(batch["build_s"])
+    # Batch wall times become input points per second; build peak RSS is
+    # the highest of any build (it does not vary).
+    for key, name in THROUGHPUT_OF.items():
+        metrics[name] = w["n"] / statistics.median(batch[key]) / 1e6
+    metrics["build_peak_rss_mib"] = max(batch["build_peak_rss_mib"])
     quality = r.tool("perfbench_tool w1",
                      [tool, "w1", "--a", files["data"], "--b", files["synth"],
                       "--dim", str(w["dim"])])
@@ -306,14 +294,12 @@ def run_workload(name, seed, seconds, trace, root, target):
                       % (metrics["info.w1"], W1_SHARE,
                          gen["metrics"]["w1_uniform"]))
     processes = r.processes + [
-        (f"privhp serve (round {i + 1}, loaded)", None,
-         s["metrics"]["serve_peak_rss_mib"])
-        for i, s in enumerate(served_rounds)]
+        ("privhp serve (last launch, loaded)", None,
+         served["metrics"]["info.serve_stage_peak_rss_mib"])]
     return {"correct": not checks, "check_failures": checks,
-            "attempted": r.cli_steps + sum(s["attempted"]
-                                           for s in served_rounds),
-            "failed": sum(s["failed"] for s in served_rounds),
-            "metrics": metrics}, processes, "end_to_end"
+            "attempted": r.cli_steps + served["attempted"],
+            "failed": served["failed"], "metrics": metrics}, processes, \
+        "end_to_end"
 
 
 def main():
@@ -345,10 +331,15 @@ def main():
     wanted = {m["name"]: m["unit"] for m in spec[kind]}
     print(f"workload {args.workload} seed {args.seed} "
           f"trace {args.trace} nproc {NPROC}")
-    print("peak RSS of every subprocess:")
+    print("subprocesses: runs, median wall, highest peak RSS")
+    by_label = {}
     for label, wall, rss in processes:
-        wall = "-" if wall is None else f"{wall:.3f}"
-        print(f"  {label:<34} {wall:>9} s {rss:9.1f} MiB")
+        by_label.setdefault(label, []).append((wall, rss))
+    for label, runs in by_label.items():
+        walls = [wall for wall, _ in runs if wall is not None]
+        wall = f"{statistics.median(walls):.3f}" if walls else "-"
+        print(f"  {label:<34} {len(runs):4d} {wall:>9} s "
+              f"{max(rss for _, rss in runs):9.1f} MiB")
     for note in result.get("notes", []):
         print(f"note: {note}")
     metrics = result["metrics"]

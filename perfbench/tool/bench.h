@@ -20,6 +20,11 @@ int64_t NowNs();
 double Seconds(int64_t ns);
 // User + system CPU seconds of this process, all threads.
 double CpuSeconds();
+// User + system CPU seconds of process \p pid so far, exited threads
+// included (/proc/<pid>/stat, clock-tick resolution).
+double ProcessCpuSeconds(int pid);
+// Peak resident set of process \p pid so far, MiB (VmHWM).
+double ProcessPeakRssMib(int pid);
 
 // Exact percentile (nearest rank) of \p v; sorts it. +inf entries mark
 // failed operations, so a failure always lands above any limit.
@@ -144,30 +149,34 @@ bool ReadFile(const std::string& path, std::string* out);
 // --- Serve load -----------------------------------------------------
 // Settings that are the same on every workload.
 constexpr double kLimitUs = 20000;     // read p99 limit of the ladder
-constexpr uint64_t kSampleM = 10000;   // points per SAMPLE request
+constexpr uint64_t kSampleM = 100000;  // points per SAMPLE request
 constexpr uint32_t kIngestThreads = 2;  // INGEST's sharded build
-constexpr int kSetupReps = 3;  // `privhp serve` launches timed per pass
+constexpr int kSetupReps = 9;  // `privhp serve` launches timed per pass
 
 struct LoadConfig {
   std::string socket;            // unix socket of the server under load
   std::string artifact = "art";  // name the readers query
   uint64_t seed = 0;             // query draws and SAMPLE seeds
-  double fixed_rate = 0;         // offered reads/s of the fixed-rate phase
-  double fixed_seconds = 0;      // fixed-rate phase length
+  double fixed_rate = 0;          // offered reads/s of the fixed-rate phases
+  double reads_seconds = 0;       // reads alone
+  double beside_seconds = 0;      // reads beside the closed-loop worker
   // Rate ladder of reads alone after that phase (service.read.max_rps),
   // starting at this rate; 0 = no ladder.
   double ladder_from = 0;
-  // The closed-loop worker runs beside the fixed-rate phase: SAMPLE
-  // streams, or (worker_ingest) INGEST + EXPORT republishing `artifact`.
-  // After the reads it runs the other kind alone: 3 INGESTs into
-  // "side", or 100 SAMPLE streams.
+  // The closed-loop worker runs beside the reads: SAMPLE streams, or
+  // (worker_ingest) INGEST + EXPORT republishing `artifact`. After the
+  // reads it runs each kind alone for alone_seconds (at least
+  // kMinAlone times): SAMPLE streams, then INGESTs into "side".
   bool worker_ingest = false;
+  double alone_seconds = 0;
   // Ingest spec (plan seed: the client's default, as `privhp build`'s);
   // the published tree must hash to expected_blob_hash.
   const std::vector<privhp::Point>* ingest_points = nullptr;
   uint32_t ingest_dim = 0;
   uint64_t ingest_k = 0;
   uint64_t expected_blob_hash = 0;
+  // The server's process, for its CPU time per phase; 0 = not measured.
+  int server_pid = 0;
 };
 
 struct LoadResult {
@@ -181,8 +190,17 @@ struct LoadResult {
   int ladder_steps = 0;
   double ladder_cpu_s = 0.0;       // process CPU time during the ladder
   uint64_t ladder_attempted = 0;  // reads the ladder scheduled
-  std::vector<double> sample_mpts_s;  // per SAMPLE stream counted
-  std::vector<double> ingest_mpts_s;  // per INGEST: points / upload time
+  // The server's peak RSS from its launch to the end of the reads alone
+  // (0 without a server pid).
+  double reads_peak_rss_mib = 0.0;
+  std::vector<double> beside_window_p50_us;  // reads beside the worker
+  // Per operation, Mpts/s: SAMPLE streams and INGESTs (points / upload
+  // time), each alone and beside the reads.
+  std::vector<double> sample_mpts_s, ingest_mpts_s;
+  std::vector<double> beside_sample_mpts_s, beside_ingest_mpts_s;
+  // Points of each kind alone per second of server CPU time.
+  double sample_mpts_per_cpu_s = 0.0;
+  double ingest_mpts_per_cpu_s = 0.0;
   double ingest_seconds = 0.0;
   uint64_t ingests = 0;
   uint64_t attempted = 0;

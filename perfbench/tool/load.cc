@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -35,9 +34,12 @@ constexpr size_t kQueryPool = 4096;
 constexpr double kZipfExponent = 1.1;
 constexpr size_t kWindow = 8;  // requests in flight per reader connection
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr int kThinkMs = 50;  // closed-loop worker's pause between ops
-constexpr int kTrailingIngests = 3;
-constexpr int kTrailingSamples = 100;
+// Open-loop reader connections, one thread each. A connection's replies
+// come back in order, so one connection alone queues at the higher fixed
+// rates when the host steals CPU time.
+constexpr int kReaders = 3;
+constexpr int kMinAlone = 3;
+constexpr int kIdlePerBusy = 3;  // closed-loop worker's pause per busy time
 // Latency is summarised per window of a phase's schedule, and a
 // reported percentile is the median over windows, so a stall of the
 // shared machine (tens of ms, every few seconds on the baseline VM) moves
@@ -326,7 +328,10 @@ struct Worker {
   Tracer* tracer;
   int root;
   std::vector<Span> spans;
-  std::vector<std::pair<int64_t, int64_t>> samples;  // start, end
+  // Per-operation throughput of the current phase, Mpts/s.
+  std::vector<double>* sample_out = nullptr;
+  std::vector<double>* ingest_out = nullptr;
+  uint64_t points = 0;  // sampled + ingested, for CPU per point
   uint64_t attempted = 0, failed = 0, next_seed = 0;
   int64_t last_poll_ns = 0;
   std::string error;
@@ -340,7 +345,8 @@ struct Worker {
         client->Sample(cfg.artifact, kSampleM, seed, &sink);
     const int64_t t1 = NowNs();
     if (!st.ok()) return Fail(st);
-    samples.emplace_back(t0, t1);
+    sample_out->push_back(kSampleM / Seconds(t1 - t0) / 1e6);
+    points += kSampleM;
     result->sample_hashes.emplace_back(seed, sink.hash());
     if (tracer->enabled()) spans.push_back({"service.sample", t0, t1, root});
     return true;
@@ -361,8 +367,8 @@ struct Worker {
     auto report = client->Ingest(name, spec, &source);
     const int64_t t1 = NowNs();
     if (!report.ok()) return Fail(report.status());
-    result->ingest_mpts_s.push_back(report->points_sent / Seconds(t1 - t0) /
-                                    1e6);
+    ingest_out->push_back(report->points_sent / Seconds(t1 - t0) / 1e6);
+    points += report->points_sent;
     result->ingest_seconds += Seconds(t1 - t0);
     ++result->ingests;
     if (tracer->enabled()) spans.push_back({"service.ingest", t0, t1, root});
@@ -402,7 +408,9 @@ LoadConfig LoadConfigFromFlags(const Flags& flags) {
   cfg.socket = flags.Str("socket");
   cfg.seed = static_cast<uint64_t>(flags.Num("seed"));
   cfg.fixed_rate = flags.Num("rate");
-  cfg.fixed_seconds = flags.Num("fixed-seconds");
+  cfg.reads_seconds = flags.Num("reads-seconds");
+  cfg.beside_seconds = flags.Num("beside-seconds");
+  cfg.alone_seconds = flags.Num("alone-seconds");
   cfg.worker_ingest = flags.Str("worker") == "ingest";
   cfg.ingest_dim = static_cast<uint32_t>(flags.Num("dim"));
   cfg.ingest_k = static_cast<uint64_t>(flags.Num("k"));
@@ -415,14 +423,14 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
   const QueryPool pool = MakeQueries(cfg, expected);
   std::vector<PrivHPClient> readers;
   std::vector<PrivHPClient> workers;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i <= kReaders; ++i) {
     auto c = PrivHPClient::ConnectUnix(cfg.socket);
     if (!c.ok()) {
       result.errors.push_back("connect: " + c.status().ToString());
       result.failed = result.attempted = 1;
       return result;
     }
-    (i < 3 ? readers : workers).push_back(std::move(*c));
+    (i < kReaders ? readers : workers).push_back(std::move(*c));
   }
   // Readers are idle between phases, so the first one takes the STATS
   // snapshots that bracket the run.
@@ -432,35 +440,60 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
   }
   const int root = tracer->current();
   Worker w(cfg, &workers[0], &result, tracer, root);
+  auto server_cpu = [&] {
+    return cfg.server_pid > 0 ? ProcessCpuSeconds(cfg.server_pid) : 0.0;
+  };
+  auto keep = [&](const PhaseSummary& phase) {
+    result.attempted += phase.scheduled;
+    result.failed += phase.scheduled - phase.ok;
+    result.wrong += phase.wrong;
+    if (!phase.error.empty()) result.errors.push_back(phase.error);
+    auto append = [](std::vector<double>* to, const std::vector<double>& v) {
+      to->insert(to->end(), v.begin(), v.end());
+    };
+    append(&result.fixed_latency_us, phase.latency_us);
+    append(&result.client_span_us, phase.span_us);
+    append(&result.late_us, phase.late_us);
+  };
+
+  // 1. Reads alone at the fixed rate.
+  PhaseSummary alone =
+      RunPhase(&readers, cfg, pool, 0, cfg.fixed_rate, cfg.reads_seconds,
+               kFixedWindowSeconds, false, tracer, root);
+  result.window_p50_us = alone.window_p50_us;
+  result.window_p90_us = alone.window_p90_us;
+  result.window_p99_us = alone.window_p99_us;
+  keep(alone);
+  if (cfg.server_pid > 0) {
+    result.reads_peak_rss_mib = ProcessPeakRssMib(cfg.server_pid);
+  }
+
+  // 2. The same reads beside the closed-loop worker.
+  // The worker is paced: after each operation it pauses kIdlePerBusy
+  // times as long as it took, so it is busy about a quarter of the phase.
+  // Saturating the machine's few cores would make the readers' latency
+  // measure the scheduler, not the program.
+  w.sample_out = &result.beside_sample_mpts_s;
+  w.ingest_out = &result.beside_ingest_mpts_s;
   std::atomic<bool> stop_worker{false};
-  // Closed loop with a think time, so the worker shares the machine
-  // with the readers instead of saturating it.
   std::thread worker([&] {
     while (!stop_worker.load()) {
+      const int64_t t0 = NowNs();
       if (!(cfg.worker_ingest ? w.Ingest(cfg.artifact) : w.Sample())) break;
+      const int64_t resume = NowNs() + kIdlePerBusy * (NowNs() - t0);
       w.Poll();
-      std::this_thread::sleep_for(std::chrono::milliseconds(kThinkMs));
+      while (!stop_worker.load() && NowNs() < resume) {
+        SleepUntilNs(std::min(resume, NowNs() + 5000000));
+      }
     }
   });
-
-  const int64_t fixed_start = NowNs();
-  PhaseSummary fixed =
-      RunPhase(&readers, cfg, pool, 1, cfg.fixed_rate, cfg.fixed_seconds,
+  PhaseSummary beside =
+      RunPhase(&readers, cfg, pool, 1, cfg.fixed_rate, cfg.beside_seconds,
                kFixedWindowSeconds, false, tracer, root);
-  const int64_t fixed_end = NowNs();
-  // The ladder measures the readers' capacity alone.
   stop_worker.store(true);
   worker.join();
-  result.attempted += fixed.scheduled;
-  result.failed += fixed.scheduled - fixed.ok;
-  result.wrong += fixed.wrong;
-  if (!fixed.error.empty()) result.errors.push_back(fixed.error);
-  result.fixed_latency_us = fixed.latency_us;
-  result.window_p50_us = fixed.window_p50_us;
-  result.window_p90_us = fixed.window_p90_us;
-  result.window_p99_us = fixed.window_p99_us;
-  result.client_span_us = fixed.span_us;
-  result.late_us = fixed.late_us;
+  result.beside_window_p50_us = beside.window_p50_us;
+  keep(beside);
 
   if (cfg.ladder_from > 0) {
     // The rung count is fixed by the climb, not cut by a deadline, so
@@ -510,30 +543,24 @@ LoadResult RunLoad(const LoadConfig& cfg, const ServedArtifact& expected,
     result.ladder_attempted = result.attempted - attempted0;
   }
 
-  // SAMPLE throughput counts the streams that ran wholly inside the
-  // fixed-rate phase, beside the reads; trailing streams run alone.
-  auto count_samples = [&](int64_t from, int64_t to) {
-    for (const auto& s : w.samples) {
-      if (s.first >= from && s.second <= to) {
-        result.sample_mpts_s.push_back(kSampleM /
-                                       Seconds(s.second - s.first) / 1e6);
-      }
+  // 3. Each kind of operation alone for alone_seconds (at least
+  // kMinAlone times): SAMPLE streams, then INGESTs under another
+  // name, so the artifact the readers query stays as it is.
+  auto alone_ops = [&](bool ingest, std::vector<double>* out) {
+    (ingest ? w.ingest_out : w.sample_out) = out;
+    const uint64_t points0 = w.points;
+    const double cpu_start = server_cpu();
+    const int64_t end =
+        NowNs() + static_cast<int64_t>(cfg.alone_seconds * 1e9);
+    for (int i = 0; (i < kMinAlone || NowNs() < end) && w.error.empty();
+         ++i) {
+      if (!(ingest ? w.Ingest("side") : w.Sample())) break;
     }
+    return static_cast<double>(w.points - points0) / 1e6 /
+           (server_cpu() - cpu_start);
   };
-  count_samples(fixed_start, fixed_end);
-  // After the ladder the worker runs the other kind of operation alone,
-  // a fixed number of times, so the server's peak RSS does not depend on
-  // how fast the machine happened to be.
-  const int64_t trail_start = NowNs();
-  const int trailing = cfg.worker_ingest ? kTrailingSamples : kTrailingIngests;
-  for (int i = 0; i < trailing && w.error.empty(); ++i) {
-    if (cfg.worker_ingest) {
-      w.Sample();
-    } else {
-      w.Ingest("side");
-    }
-  }
-  count_samples(trail_start, NowNs());
+  result.sample_mpts_per_cpu_s = alone_ops(false, &result.sample_mpts_s);
+  result.ingest_mpts_per_cpu_s = alone_ops(true, &result.ingest_mpts_s);
 
   tracer->AddBulk(w.spans);
   result.attempted += w.attempted;
@@ -587,6 +614,13 @@ void AddServiceLayerMetrics(const LoadResult& load, Report* report) {
       Delta(a, b, "op.ingest.latency_ns").ValueAtQuantile(0.5) / 1e6;
   std::vector<double> spans = load.client_span_us;
   m["service.read.client_p99_us"] = Percentile(&spans, 0.99);
+  // Wall-clock figures of the operations alone: reads at the fixed rate
+  // timed from when each was due (median over windows), and per-operation
+  // SAMPLE and INGEST throughput (median).
+  m["service.read.due_p50_us"] = Median(load.window_p50_us);
+  m["service.read.due_p99_us"] = Median(load.window_p99_us);
+  m["service.sample.wall_mpts_s"] = Median(load.sample_mpts_s);
+  m["service.ingest.wall_mpts_s"] = Median(load.ingest_mpts_s);
   m["service.workers_busy.max"] = static_cast<double>(load.workers_busy_max);
   m["service.output_queue_bytes.max"] =
       static_cast<double>(load.output_queue_bytes_max);

@@ -46,7 +46,8 @@ const char* const kLayerMetrics[] = {
     "service.sample.server_p99_us", "service.ingest.server_p50_ms",
     "service.read.client_p99_us", "service.workers_busy.max",
     "service.output_queue_bytes.max", "service.read.max_rps",
-    "service.ingest.upload_s",
+    "service.ingest.upload_s", "service.read.due_p50_us",
+    "service.read.due_p99_us", "service.sample.wall_mpts_s", "service.ingest.wall_mpts_s",
     "service.errors", "service.dropped", "loadgen.late_p99_us",
     "loadgen.read_samples", "trace.overhead_pct", "eval.w1"};
 
@@ -110,7 +111,9 @@ privhp::Result<PrivHPGenerator> TraceBuildLayers(
     update_s += s.Stop();
   }
   m["domain.locate.mpts_s"] = Mpts(n, locate_s);
-  m["sketch.update.mpts_s"] = Mpts(n, update_s);
+  // A plan whose every level is counted exactly has no sketch to update;
+  // the metric is then left out and named unreachable.
+  if (!sketches.empty()) m["sketch.update.mpts_s"] = Mpts(n, update_s);
   {
     privhp::RandomEngine rng(plan.seed);
     Scope s(tracer, "dp.privatize");

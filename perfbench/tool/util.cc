@@ -1,4 +1,5 @@
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -26,6 +27,29 @@ double CpuSeconds() {
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_utime.tv_sec + ru.ru_utime.tv_usec * 1e-6 + ru.ru_stime.tv_sec +
          ru.ru_stime.tv_usec * 1e-6;
+}
+
+double ProcessCpuSeconds(int pid) {
+  std::string stat;
+  if (!ReadFile("/proc/" + std::to_string(pid) + "/stat", &stat)) return 0.0;
+  // Fields after the parenthesised command name start at field 3 (state);
+  // utime and stime are fields 14 and 15.
+  std::istringstream in(stat.substr(stat.rfind(')') + 2));
+  std::string field;
+  double ticks = 0.0;
+  for (int i = 3; i <= 15 && in >> field; ++i) {
+    if (i >= 14) ticks += std::stod(field);
+  }
+  return ticks / static_cast<double>(sysconf(_SC_CLK_TCK));
+}
+
+double ProcessPeakRssMib(int pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024;
+  }
+  return 0.0;
 }
 
 double Percentile(std::vector<double>* v, double q) {
